@@ -1,7 +1,7 @@
 //! One bench per table/figure of the paper: each measures the scenario
 //! kernel that regenerates that figure, at a short duration so the suite
-//! stays tractable. The full-scale regeneration (the numbers EXPERIMENTS.md
-//! records) is `cargo run --release -p experiments --bin figgen all`.
+//! stays tractable. The full-scale regeneration is
+//! `cargo run --release -p campaign --bin figgen -- all`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use experiments::topos::{CoexistScenario, CrossTraffic, MixedPathScenario, TwoHopScenario};

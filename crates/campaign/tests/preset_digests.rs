@@ -116,7 +116,10 @@ fn every_preset_is_pinned() {
     let mut got: Vec<&str> = pinned().into_iter().map(|(n, _)| n).collect();
     want.sort_unstable();
     got.sort_unstable();
-    assert_eq!(got, want, "ci/preset-digests.txt must list every preset once");
+    assert_eq!(
+        got, want,
+        "ci/preset-digests.txt must list every preset once"
+    );
 }
 
 #[test]

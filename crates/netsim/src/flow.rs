@@ -313,7 +313,10 @@ pub struct Sender {
     batch_rto_defer: bool,
 
     /// At most one pacing timer is outstanding; the flag (not a generation
-    /// tag) guarantees it, so pace ticks never go stale.
+    /// tag) guarantees it, so pace ticks never go stale. A sender that can
+    /// never transmit again (`finished`) arms none: its ticks would be
+    /// no-ops, so stores are unchanged and only the event count and
+    /// `events_fingerprint` move.
     pace_armed: bool,
     /// A TOK_APP wakeup is pending; prevents every ACK from spawning an
     /// additional timer chain (each chain re-arms itself forever).
@@ -468,6 +471,19 @@ impl Sender {
         }
     }
 
+    /// True once the sender can never transmit again: nothing is in
+    /// flight or queued for retransmission, and the application is out of
+    /// data for good (past `stop_at`, or a driverless `Finite` source that
+    /// has offered all its bytes). Permanent: with an empty window no ACK
+    /// can infer a loss and no RTO fires. Pure, unlike `app_has_data`,
+    /// which advances `RateLimited` token state.
+    fn finished(&self, now: SimTime) -> bool {
+        let app_drained = self.stop_at.is_some_and(|t| now >= t)
+            || (self.driver.is_none()
+                && matches!(self.app, TrafficSource::Finite { bytes } if self.app_bytes_offered >= bytes));
+        app_drained && self.outstanding.is_empty() && self.retx_queue.is_empty()
+    }
+
     /// When will the app next have data, if it currently doesn't?
     fn app_next_ready(&mut self, now: SimTime) -> Option<SimTime> {
         if let Some(d) = &mut self.driver {
@@ -581,7 +597,7 @@ impl Sender {
     }
 
     fn arm_pacer(&mut self, ctx: &mut Context) {
-        if self.pace_armed {
+        if self.pace_armed || self.finished(ctx.now()) {
             return;
         }
         if let Pacing::Rate(r) = self.cc.pacing() {
@@ -1105,6 +1121,27 @@ mod tests {
         }
     }
 
+    /// Fixed window released by a constant-rate pacing clock.
+    struct PacedWindow {
+        w: f64,
+        rate: Rate,
+    }
+
+    impl CongestionControl for PacedWindow {
+        fn name(&self) -> &'static str {
+            "paced"
+        }
+        fn on_ack(&mut self, _ev: &AckEvent) {}
+        fn on_loss(&mut self, _now: SimTime) {}
+        fn on_rto(&mut self, _now: SimTime) {}
+        fn cwnd_pkts(&self) -> f64 {
+            self.w
+        }
+        fn pacing(&self) -> Pacing {
+            Pacing::Rate(self.rate)
+        }
+    }
+
     /// Build sender → link → sink → sender over a `rate` link with
     /// `one_way` propagation each direction; returns (sim, sender_id, hub).
     fn loop_topology(
@@ -1112,6 +1149,28 @@ mod tests {
         buf: usize,
         w: f64,
         app: TrafficSource,
+    ) -> (Simulator, NodeId, Metrics) {
+        loop_topology_with(rate_mbps, buf, |fwd| {
+            Sender::new(
+                FlowId(1),
+                Box::new(FixedWindow {
+                    w,
+                    acks: 0,
+                    losses: 0,
+                    rtos: 0,
+                }),
+                fwd,
+                app,
+            )
+        })
+    }
+
+    /// [`loop_topology`] with the sender built by `sender` from its
+    /// forward route.
+    fn loop_topology_with(
+        rate_mbps: f64,
+        buf: usize,
+        sender: impl FnOnce(Rc<Route>) -> Sender,
     ) -> (Simulator, NodeId, Metrics) {
         let mut sim = Simulator::new();
         let hub = new_hub();
@@ -1139,20 +1198,7 @@ mod tests {
             sink_id,
             Box::new(Sink::new(FlowId(1), back).with_metrics(hub.clone())),
         );
-        sim.install_node(
-            sender_id,
-            Box::new(Sender::new(
-                FlowId(1),
-                Box::new(FixedWindow {
-                    w,
-                    acks: 0,
-                    losses: 0,
-                    rtos: 0,
-                }),
-                fwd,
-                app,
-            )),
-        );
+        sim.install_node(sender_id, Box::new(sender(fwd)));
         (sim, sender_id, hub)
     }
 
@@ -1261,6 +1307,178 @@ mod tests {
             s.stats().sent_pkts
         );
         assert!(hub.borrow().flows[&FlowId(1)].delivered_pkts > 300);
+    }
+
+    fn secs(t: f64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs_f64(t)
+    }
+
+    /// A 10-packet window paced at 6 Mbit/s: one tick every 2 ms.
+    fn paced_sender(fwd: Rc<Route>, app: TrafficSource) -> Sender {
+        let cc = PacedWindow {
+            w: 10.0,
+            rate: Rate::from_mbps(6.0),
+        };
+        Sender::new(FlowId(1), Box::new(cc), fwd, app)
+    }
+
+    /// Step the simulation 1 ms at a time until `done` holds for the
+    /// sender; returns that instant.
+    fn run_until_sender(
+        sim: &mut Simulator,
+        id: NodeId,
+        done: impl Fn(&Sender, SimTime) -> bool,
+    ) -> SimTime {
+        let mut now = SimTime::ZERO;
+        while !done(sender_of(sim, id), now) {
+            assert!(now < secs(10.0), "sender never reached the awaited state");
+            now += SimDuration::from_millis(1);
+            sim.run_until(now);
+        }
+        now
+    }
+
+    /// Once the sender has drained, the whole loop processes no events:
+    /// the pacing clock stopped with the last ACK.
+    fn assert_silent_after(sim: &mut Simulator, last_ack: SimTime) {
+        sim.run_until(last_ack + SimDuration::from_secs(1));
+        let settled = sim.events_processed();
+        sim.run_until(secs(10.0));
+        assert_eq!(
+            sim.events_processed(),
+            settled,
+            "a drained paced sender kept its pacing clock running"
+        );
+    }
+
+    #[test]
+    fn drained_paced_finite_sender_stops_its_clock() {
+        let app = TrafficSource::Finite { bytes: 15_000 };
+        let (mut sim, id, _) = loop_topology_with(12.0, 250, |fwd| paced_sender(fwd, app));
+        let last_ack = run_until_sender(&mut sim, id, |s, _| s.stats().acked_pkts == 10);
+        assert_silent_after(&mut sim, last_ack);
+        assert_eq!(sender_of(&sim, id).stats().sent_pkts, 10);
+    }
+
+    #[test]
+    fn paced_sender_past_stop_at_stops_its_clock() {
+        let stop = secs(2.0);
+        let (mut sim, id, _) = loop_topology_with(12.0, 250, |fwd| {
+            paced_sender(fwd, TrafficSource::Backlogged).with_stop_at(stop)
+        });
+        let last_ack = run_until_sender(&mut sim, id, |s, now| now >= stop && s.inflight() == 0);
+        let s = sender_of(&sim, id);
+        assert!(s.stats().sent_pkts > 100, "sent {}", s.stats().sent_pkts);
+        assert_eq!(s.stats().acked_pkts, s.stats().sent_pkts);
+        assert_silent_after(&mut sim, last_ack);
+    }
+
+    /// Offers `first` bytes at once and `second` more from `later` on.
+    struct StepDriver {
+        first: u64,
+        second: u64,
+        later: SimTime,
+    }
+
+    impl AppDriver for StepDriver {
+        fn available_bytes(&mut self, now: SimTime) -> u64 {
+            self.first + if now >= self.later { self.second } else { 0 }
+        }
+        fn next_wakeup(&mut self, now: SimTime) -> Option<SimTime> {
+            (now < self.later).then_some(self.later)
+        }
+        fn on_progress(&mut self, _now: SimTime, _delivered_bytes: u64) {}
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn paced_sender_with_driver_resumes_after_idle_gap() {
+        // The Finite source is ignored under a driver; a sender that
+        // consulted it would call itself finished after 15 kB.
+        let app = TrafficSource::Finite { bytes: 15_000 };
+        let (mut sim, id, _) = loop_topology_with(12.0, 250, |fwd| {
+            paced_sender(fwd, app).with_app_driver(Box::new(StepDriver {
+                first: 15_000,
+                second: 15_000,
+                later: secs(3.0),
+            }))
+        });
+        sim.run_until(secs(2.5));
+        assert_eq!(
+            sender_of(&sim, id).stats().acked_pkts,
+            10,
+            "idle before 3 s"
+        );
+        sim.run_until(secs(6.0));
+        let s = sender_of(&sim, id);
+        assert_eq!(
+            s.stats().sent_pkts,
+            20,
+            "driver data after the gap not sent"
+        );
+        assert_eq!(s.stats().acked_pkts, 20);
+    }
+
+    /// Re-delivers an ACK of `seq` to `sender` at `at`.
+    struct LateAck {
+        sender: NodeId,
+        seq: u64,
+        at: SimTime,
+    }
+
+    impl Node for LateAck {
+        crate::impl_node_downcast!();
+        fn start(&mut self, ctx: &mut Context) {
+            ctx.set_timer_at(self.at, 0);
+        }
+        fn handle(&mut self, ctx: &mut Context, _ev: EventKind) {
+            let now = ctx.now();
+            ctx.forward(Packet {
+                flow: FlowId(1),
+                seq: self.seq,
+                size: crate::packet::ACK_BYTES,
+                ecn: Ecn::NotEct,
+                feedback: Feedback::None,
+                abc_capable: false,
+                sent_at: now,
+                retransmit: false,
+                ack: Some(AckData {
+                    seq: self.seq,
+                    cumulative_before: self.seq + 1,
+                    data_sent_at: SimTime::ZERO,
+                    data_size: MTU_BYTES,
+                    ecn_echo: Ecn::NotEct,
+                    feedback: Feedback::None,
+                    one_way_delay: SimDuration::ZERO,
+                    retransmit: false,
+                }),
+                route: Route::new(vec![(self.sender, SimDuration::ZERO)]),
+                hop: 0,
+                enqueued_at: now,
+            });
+        }
+    }
+
+    #[test]
+    fn duplicate_ack_after_finish_does_not_restart_the_clock() {
+        let app = TrafficSource::Finite { bytes: 15_000 };
+        let (mut sim, id, _) = loop_topology_with(12.0, 250, |fwd| paced_sender(fwd, app));
+        sim.add_node(Box::new(LateAck {
+            sender: id,
+            seq: 9,
+            at: secs(5.0),
+        }));
+        sim.run_until(secs(4.0));
+        assert_eq!(sender_of(&sim, id).stats().acked_pkts, 10, "drained by 4 s");
+        let settled = sim.events_processed();
+        sim.run_until(secs(10.0));
+        // the injector's timer and the ACK's delivery, nothing after
+        assert_eq!(sim.events_processed(), settled + 2);
     }
 }
 

@@ -16,8 +16,8 @@
 //! * [`campaign`] — declarative sweep orchestration, the JSONL results
 //!   store, aggregation, and regression gating.
 //!
-//! Start with `examples/quickstart.rs`, then DESIGN.md for the system
-//! inventory and EXPERIMENTS.md for the paper-vs-measured results.
+//! Start with `examples/quickstart.rs`, then `README.md` for the tour and
+//! `docs/ARCHITECTURE.md` for the system inventory.
 
 pub use abc_core;
 pub use aqm;
