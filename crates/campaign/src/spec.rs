@@ -459,6 +459,66 @@ mod tests {
         }
     }
 
+    fn small_trace(name: &str, every_ms: u64) -> CellTrace {
+        let lines: String = (0..100).map(|i| format!("{}\n", i * every_ms)).collect();
+        CellTrace::parse_mahimahi(name, lines.as_bytes()).unwrap()
+    }
+
+    fn trace_of(link: &LinkSpec) -> &CellTrace {
+        match link {
+            LinkSpec::Trace(t) => t,
+            other => panic!("expected a trace link, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn trace_axis_points_share_the_axis_opportunities() {
+        let c = Campaign::new("tr", base())
+            .axis(Axis::schemes(&[Scheme::Abc, Scheme::Cubic]))
+            .axis(Axis::traces(&[small_trace("a", 2), small_trace("b", 3)]));
+        let pts = c.expand();
+        assert_eq!(pts.len(), 4);
+        for p in &pts {
+            let label = p.coords.get("trace").unwrap();
+            let (_, AxisValue::Link(axis_link)) =
+                c.axes[1].values.iter().find(|(l, _)| l == label).unwrap()
+            else {
+                panic!("trace axis holds link values");
+            };
+            let Topology::SingleBottleneck(link) = &p.spec.topology else {
+                panic!("a trace axis sets a single bottleneck");
+            };
+            assert!(Arc::ptr_eq(
+                &trace_of(link).opportunities,
+                &trace_of(axis_link).opportunities
+            ));
+        }
+    }
+
+    #[test]
+    fn two_hop_trace_points_share_the_topology_opportunities() {
+        let (up, down) = (small_trace("up", 5), small_trace("down", 2));
+        let topo = Topology::TwoHop {
+            up: LinkSpec::Trace(up.clone()),
+            down: LinkSpec::Trace(down.clone()),
+        };
+        let c = Campaign::new("two-hop", base())
+            .axis(Axis::new(
+                "topology",
+                vec![("two_hop".into(), AxisValue::Topology(topo))],
+            ))
+            .axis(Axis::schemes(&[Scheme::Abc, Scheme::Cubic, Scheme::Bbr]));
+        let pts = c.expand();
+        assert_eq!(pts.len(), 3);
+        for p in &pts {
+            let Topology::TwoHop { up: u, down: d } = &p.spec.topology else {
+                panic!("the topology axis sets a two-hop path");
+            };
+            assert!(Arc::ptr_eq(&trace_of(u).opportunities, &up.opportunities));
+            assert!(Arc::ptr_eq(&trace_of(d).opportunities, &down.opportunities));
+        }
+    }
+
     #[test]
     fn no_axes_means_one_point() {
         let pts = Campaign::new("single", base()).expand();

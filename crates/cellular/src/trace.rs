@@ -11,13 +11,16 @@ use netsim::rate::Rate;
 use netsim::time::{SimDuration, SimTime};
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
+use std::sync::Arc;
 
 /// A parsed (or synthesized) cellular trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellTrace {
     pub name: String,
-    /// Delivery opportunities within one period, sorted.
-    pub opportunities: Vec<SimDuration>,
+    /// Delivery opportunities within one period, sorted. Immutable and
+    /// shared: every clone of the trace, and every link built from it by
+    /// [`CellTrace::to_link`], points at this one list.
+    pub opportunities: Arc<[SimDuration]>,
     pub period: SimDuration,
 }
 
@@ -80,14 +83,14 @@ impl CellTrace {
         let period = SimDuration::from_millis(last + 1);
         Ok(CellTrace {
             name: name.to_string(),
-            opportunities,
+            opportunities: opportunities.into(),
             period,
         })
     }
 
     /// Serialize back to the Mahimahi line format.
     pub fn write_mahimahi(&self, mut w: impl Write) -> std::io::Result<()> {
-        for o in &self.opportunities {
+        for o in self.opportunities.iter() {
             writeln!(w, "{}", o.as_nanos() / 1_000_000)?;
         }
         Ok(())
@@ -116,9 +119,10 @@ impl CellTrace {
         Rate::from_bytes_per(n * netsim::packet::MTU_BYTES as u64, window)
     }
 
-    /// Build the simulator link for this trace.
+    /// Build the simulator link for this trace. The link shares the
+    /// opportunity list (one reference-count increment), it does not copy it.
     pub fn to_link(&self) -> TraceLink {
-        TraceLink::new(self.opportunities.clone(), self.period)
+        TraceLink::new(Arc::clone(&self.opportunities), self.period)
     }
 
     /// Total duration of one period.
@@ -147,6 +151,19 @@ mod tests {
         let input = "# header\n0\n\n10\n";
         let tr = CellTrace::parse_mahimahi("t", input.as_bytes()).unwrap();
         assert_eq!(tr.opportunities.len(), 2);
+    }
+
+    #[test]
+    fn to_link_shares_the_opportunity_list() {
+        let tr = CellTrace::parse_mahimahi("t", "0\n5\n5\n12\n40\n".as_bytes()).unwrap();
+        let clone = tr.clone();
+        assert!(Arc::ptr_eq(&tr.opportunities, &clone.opportunities));
+        let before = Arc::strong_count(&tr.opportunities);
+        let link = tr.to_link();
+        assert_eq!(Arc::strong_count(&tr.opportunities), before + 1);
+        assert_eq!(link.opportunities_per_period(), tr.opportunities.len());
+        drop(link);
+        assert_eq!(Arc::strong_count(&tr.opportunities), before);
     }
 
     #[test]

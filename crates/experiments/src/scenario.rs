@@ -17,7 +17,8 @@ use netsim::time::{SimDuration, SimTime};
 /// The bottleneck link of a scenario.
 #[derive(Debug, Clone)]
 pub enum LinkSpec {
-    /// Mahimahi-style trace (cellular emulation).
+    /// Mahimahi-style trace (cellular emulation). Cloning it shares the
+    /// trace's opportunity list, so cloning a spec never copies a trace.
     Trace(CellTrace),
     /// A fixed-rate link.
     Constant(Rate),

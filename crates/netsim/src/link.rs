@@ -14,6 +14,7 @@
 
 use crate::rate::Rate;
 use crate::time::{SimDuration, SimTime};
+use std::sync::Arc;
 
 /// A deterministic capacity curve.
 pub trait RateProcess {
@@ -283,7 +284,9 @@ impl<P: RateProcess> Transmitter for SerialLink<P> {
 /// 1500-byte opportunity, as in Mahimahi).
 pub struct TraceLink {
     /// Opportunity offsets within one period, sorted, each < period.
-    opportunities: Vec<SimDuration>,
+    /// Shared with the trace it was built from and every other link built
+    /// from that trace; never copied.
+    opportunities: Arc<[SimDuration]>,
     period: SimDuration,
     bytes_per_opp: u32,
     /// `Some((t, bytes))`: the opportunity at `t` has been claimed and has
@@ -294,9 +297,13 @@ pub struct TraceLink {
 }
 
 impl TraceLink {
+    /// A `Vec` is converted once; an `Arc<[SimDuration]>` is shared as is,
+    /// without copying the list.
+    ///
     /// # Panics
     /// If the trace is empty, unsorted, or has opportunities ≥ `period`.
-    pub fn new(opportunities: Vec<SimDuration>, period: SimDuration) -> Self {
+    pub fn new(opportunities: impl Into<Arc<[SimDuration]>>, period: SimDuration) -> Self {
+        let opportunities = opportunities.into();
         assert!(!opportunities.is_empty(), "empty trace");
         assert!(
             opportunities.windows(2).all(|w| w[0] <= w[1]),
@@ -484,7 +491,7 @@ mod tests {
 
     fn trace_every_ms() -> TraceLink {
         // one opportunity per ms → 12 Mbit/s with 1500B packets
-        let opps = (0..1000).map(ms).collect();
+        let opps: Vec<_> = (0..1000).map(ms).collect();
         TraceLink::new(opps, SimDuration::from_secs(1))
     }
 

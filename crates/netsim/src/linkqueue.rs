@@ -331,7 +331,7 @@ mod tests {
         let link_id = sim.reserve_node();
         let rec_id = sim.reserve_node();
         // opportunities every 10ms
-        let opps = (0..100).map(|i| SimDuration::from_millis(i * 10)).collect();
+        let opps: Vec<_> = (0..100).map(|i| SimDuration::from_millis(i * 10)).collect();
         sim.install_node(
             link_id,
             Box::new(
